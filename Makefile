@@ -82,7 +82,8 @@ bench:
 	$(PYPATH) REPRO_JOBS=$(JOBS) $(PY) -m pytest benchmarks/bench_*.py -q
 
 ## Kernel microbenchmarks: vectorized vs scalar-reference speedups
-## (asserts the >= 3x floor; records an entry in benchmarks/BENCH.json).
+## (asserts the >= 3x floors and the >= 4.5x sharing fixed-point floor;
+## records an entry in benchmarks/BENCH.json).
 bench-kernels:
 	$(PYPATH) $(PY) -m pytest benchmarks/bench_kernels.py -q
 

@@ -338,54 +338,6 @@ class MissCurveBatch:
             result = result / self._value_divisor
         return result
 
-    def balance_bisect(
-        self,
-        pressure: float | np.ndarray,
-        capacity: float | np.ndarray,
-        iters: int,
-    ) -> np.ndarray:
-        """Lockstep bisection of ``m(o) = pressure * o`` per lane -> (K,).
-
-        The inner loop of the sharing fixed point, with the per-iteration
-        evaluation inlined: each round runs exactly ``__call__``'s
-        arithmetic (same operations, same order, so results stay bitwise
-        equal to ``batch(mid)``) without re-resolving attributes or
-        re-validating shapes 60 times.  Returns the midpoint of the final
-        bracket; lanes that an early-exit rule covers (zero curves,
-        at-capacity lanes) return whatever the bracket converges to and
-        must be masked by the caller, as before.
-        """
-        k = len(self.curves)
-        lo = np.zeros(k)
-        hi = np.full(k, capacity, dtype=np.float64)
-        sizes2d, values2d = self.sizes2d, self.values2d
-        sizes_flat, values_flat = sizes2d.ravel(), values2d.ravel()
-        row_base = self._rows * sizes2d.shape[1]  # flat offsets of column 0
-        seg_hi = self._seg_hi
-        first_x, first_y = self._first_x, self._first_y
-        last_x, last_y = self._last_x, self._last_y
-        arg_scale, divisor = self._arg_scale, self._value_divisor
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            q = mid if arg_scale is None else mid * arg_scale
-            j = (sizes2d <= q[:, None]).sum(axis=1) - 1
-            flat = row_base + j.clip(0, seg_hi)
-            x0 = sizes_flat.take(flat)
-            y0 = values_flat.take(flat)
-            denom = sizes_flat.take(flat + 1) - x0
-            slope = (values_flat.take(flat + 1) - y0) / np.where(
-                denom == 0.0, 1.0, denom
-            )
-            val = slope * (q - x0) + y0
-            val = np.where(q <= first_x, first_y, val)
-            val = np.where(q >= last_x, last_y, val)
-            if divisor is not None:
-                val = val / divisor
-            cond = val >= pressure * mid
-            lo = np.where(cond, mid, lo)
-            hi = np.where(cond, hi, mid)
-        return 0.5 * (lo + hi)
-
     def at_grid(self, grid: Sequence[float] | np.ndarray) -> np.ndarray:
         """Evaluate every curve on a shared capacity grid -> (K, Q).
 
@@ -407,6 +359,174 @@ class MissCurveBatch:
         if self._value_divisor is not None:
             out = out / self._value_divisor[:, None]
         return out
+
+
+#: Bisection levels a :class:`BalanceSolver` serves from its
+#: pressure-independent prefix table (``2**levels - 1`` nodes per lane).
+#: Deeper tables cost more to build than the probes they save.
+_PREFIX_LEVELS = 6
+
+
+class BalanceSolver:
+    """Lockstep bisection of ``m(o) = pressure * o`` per lane, built once
+    per sharing solve and probed at every pressure -> ``(K,)``.
+
+    ``solver(pressure)`` runs *iters* steps of ``mid = 0.5 * (lo + hi)``
+    from ``[0, capacity]``, keeping ``lo = mid`` where the lane's curve
+    value at *mid* is ``>= pressure * mid`` and ``hi = mid`` elsewhere,
+    and returns the final bracket's midpoint.  Every comparison sees
+    bitwise the value ``batch(mid)`` computes, so the decisions — and the
+    result — equal evaluating the batch at each step; the saving is in
+    what is not recomputed (see the :mod:`repro.nuca.sharing` docstring):
+
+    * per-segment ``x0`` / ``y0`` / ``slope`` banks, built once from the
+      operands ``__call__`` gathers per query;
+    * a table of the first ``_PREFIX_LEVELS`` levels' midpoints and curve
+      values, which do not depend on pressure — a probe's first steps
+      read them from the table instead of computing them;
+    * segment tracking after the table: only lanes whose bracket still
+      straddles a knot repeat the segment search, and once none does the
+      remaining steps are pure ``(K,)`` lane math.
+
+    Lanes that an early-exit rule covers (zero curves, at-capacity
+    lanes) return whatever the bracket converges to and must be masked
+    by the caller.  The tables live on the solver only; build one per
+    solve and let it go with the solve.
+    """
+
+    def __init__(
+        self, batch: MissCurveBatch, capacity: float | np.ndarray, iters: int
+    ):
+        k = len(batch)
+        sizes2d, values2d = batch.sizes2d, batch.values2d
+        self._iters = iters
+        self._levels = levels = min(_PREFIX_LEVELS, iters)
+        self._sizes2d = sizes2d
+        self._seg_hi = batch._seg_hi
+        self._ends = (batch._first_x, batch._first_y, batch._last_x, batch._last_y)
+        self._arg_scale = batch._arg_scale
+        self._divisor = batch._value_divisor
+        # Segment j of row r sits at flat index r * P + j in every bank:
+        # x0 / y0 are the batch's own knots, slope is computed once (its
+        # last column is never addressed: j stops at the row's seg_hi).
+        x0, y0 = sizes2d[:, :-1], values2d[:, :-1]
+        denom = sizes2d[:, 1:] - x0
+        slope = np.zeros_like(sizes2d)
+        slope[:, :-1] = (values2d[:, 1:] - y0) / np.where(denom == 0.0, 1.0, denom)
+        self._x0, self._y0 = sizes2d.ravel(), values2d.ravel()
+        self._slope = slope.ravel()
+        self._seg_base = np.arange(k) * sizes2d.shape[1]
+
+        # Prefix table, level by level: node n's children are 2n+1 (the
+        # value fell short: hi = mid) and 2n+2 (lo = mid), so level l is
+        # columns [2**l - 1, 2**(l+1) - 1) in heap order.  Each node holds
+        # its midpoint, the curve value there, and the midpoint's knot
+        # count (what segment tracking compares at the bracket ends).
+        lo = np.zeros((k, 1))
+        hi = np.broadcast_to(np.asarray(capacity, dtype=np.float64), (k,))[:, None]
+        self._root = (lo[:, 0], hi[:, 0]) + tuple(
+            self._knots_below(self._query(x))[:, 0] for x in (lo, hi)
+        )
+        ends = tuple(e[:, None] for e in self._ends)
+        divisor = None if self._divisor is None else self._divisor[:, None]
+        nodes = (1 << levels) - 1
+        mid_tab, val_tab = np.empty((k, nodes)), np.empty((k, nodes))
+        count_tab = np.empty((k, nodes), dtype=np.int64)
+        for level in range(levels):
+            cols = slice((1 << level) - 1, (2 << level) - 1)
+            mid = 0.5 * (lo + hi)
+            q = self._query(mid)
+            c = self._knots_below(q)
+            seg = self._seg_base[:, None] + np.clip(c - 1, 0, self._seg_hi[:, None])
+            val_tab[:, cols] = self._value(q, self._gather(seg), ends, divisor)
+            mid_tab[:, cols], count_tab[:, cols] = mid, c
+            lo = np.stack([lo, mid], axis=2).reshape(k, -1)
+            hi = np.stack([mid, hi], axis=2).reshape(k, -1)
+        self._mid_tab, self._val_tab = mid_tab.ravel(), val_tab.ravel()
+        self._count_tab = count_tab.ravel()
+        self._node_base = np.arange(k) * nodes
+
+    def _query(self, x: np.ndarray) -> np.ndarray:
+        """Lane queries ``x * arg_scale`` for ``(K,)`` or ``(K, N)`` *x*."""
+        scale = self._arg_scale
+        if scale is None:
+            return x
+        return x * (scale if x.ndim == 1 else scale[:, None])
+
+    def _knots_below(
+        self, q: np.ndarray, lanes: np.ndarray | None = None
+    ) -> np.ndarray:
+        """The segment search: knots ``<=`` each query of a ``(K, N)``
+        node block, or of the given *lanes* of a ``(K,)`` query vector."""
+        sizes2d = self._sizes2d
+        if lanes is not None:
+            return np.count_nonzero(sizes2d[lanes] <= q[lanes, None], axis=1)
+        counts = np.empty(q.shape, dtype=np.int64)
+        for col in range(q.shape[1]):
+            counts[:, col] = np.count_nonzero(sizes2d <= q[:, col, None], axis=1)
+        return counts
+
+    def _gather(self, seg: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Segment operands ``(x0, y0, slope)`` at flat bank indices."""
+        return self._x0.take(seg), self._y0.take(seg), self._slope.take(seg)
+
+    @staticmethod
+    def _value(q, operands, ends, divisor):
+        """``__call__``'s per-query arithmetic: same operations, same
+        order, so each value has the bits ``batch(x)`` computes."""
+        x0, y0, slope = operands
+        first_x, first_y, last_x, last_y = ends
+        val = slope * (q - x0) + y0
+        val = np.where(q <= first_x, first_y, val)
+        val = np.where(q >= last_x, last_y, val)
+        return val if divisor is None else val / divisor
+
+    def __call__(self, pressure: float | np.ndarray) -> np.ndarray:
+        """Final-bracket midpoints at *pressure* (scalar or ``(K,)``)."""
+        # The first levels: the bisection itself, reading each midpoint,
+        # its value and its knot count from the table.
+        lo, hi, c_lo, c_hi = self._root
+        node = np.zeros(len(self._seg_base), dtype=np.int64)
+        for _ in range(self._levels):
+            at = self._node_base + node
+            mid, c = self._mid_tab.take(at), self._count_tab.take(at)
+            cond = self._val_tab.take(at) >= pressure * mid
+            lo, hi = np.where(cond, mid, lo), np.where(cond, hi, mid)
+            c_lo, c_hi = np.where(cond, c, c_lo), np.where(cond, c_hi, c)
+            node = 2 * node + 1 + cond
+        steps = self._iters - self._levels
+        seg = self._seg_base + np.clip(c_lo - 1, 0, self._seg_hi)
+
+        # Segment tracking: a lane whose bracket ends see the same knot
+        # count keeps that segment for every later midpoint.
+        lanes = np.flatnonzero(c_lo != c_hi)
+        c_lo, c_hi = c_lo[lanes], c_hi[lanes]
+        while steps and len(lanes):
+            steps -= 1
+            mid = 0.5 * (lo + hi)
+            q = self._query(mid)
+            c = self._knots_below(q, lanes)
+            seg[lanes] = self._seg_base[lanes] + np.clip(c - 1, 0, self._seg_hi[lanes])
+            val = self._value(q, self._gather(seg), self._ends, self._divisor)
+            cond = val >= pressure * mid
+            lo = np.where(cond, mid, lo)
+            hi = np.where(cond, hi, mid)
+            up = cond[lanes]
+            c_lo = np.where(up, c, c_lo)
+            c_hi = np.where(up, c_hi, c)
+            keep = c_lo != c_hi
+            lanes, c_lo, c_hi = lanes[keep], c_lo[keep], c_hi[keep]
+
+        # Every segment is fixed: gather its operands once and finish as
+        # (K,) lane math.
+        operands = self._gather(seg)
+        for _ in range(steps):
+            mid = 0.5 * (lo + hi)
+            val = self._value(self._query(mid), operands, self._ends, self._divisor)
+            cond = val >= pressure * mid
+            lo = np.where(cond, mid, lo)
+            hi = np.where(cond, hi, mid)
+        return 0.5 * (lo + hi)
 
 
 def flat_curve(max_size: float, value: float) -> MissCurve:

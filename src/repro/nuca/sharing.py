@@ -24,6 +24,32 @@ Two implementations solve the same system:
   one :class:`~repro.cache.miss_curve.MissCurveBatch` call.  Per-stream
   arithmetic and summation order replicate the scalar path exactly, so
   the two return bitwise-identical occupancies.
+
+The inner bisection dominates: an outer search runs ~60 pressure probes
+and each probe runs 60 inner steps per stream.  One
+:class:`~repro.cache.miss_curve.BalanceSolver` per solve skips the work
+whose answer is already known, without changing a single comparison:
+
+* **Prefix table.**  Every inner bisection starts from ``[0, capacity]``
+  and only the *branch* at each step depends on pressure, so the first
+  *d* midpoints of any probe are nodes of one fixed ``2**d - 1`` node
+  tree per stream.  Their curve values are computed once, with the same
+  arithmetic as a direct evaluation (slice transforms and end clamps
+  included), and a probe walks the tree comparing the stored value
+  against ``pressure * mid`` — the very comparison a direct step makes.
+* **Segment tracking.**  The knot count ``<= q`` (which picks the
+  interpolation segment) is monotone in the query, and a midpoint never
+  leaves its bracket, so once the knot counts at both bracket ends agree
+  every later midpoint lies in that same segment.  Only streams whose
+  bracket still straddles a knot repeat the segment search; after that
+  the segment's ``x0`` / ``y0`` / ``slope`` are gathered once — from
+  banks computed with the per-step formula — and the remaining steps are
+  element-wise lane math on the same operands.
+
+Both shortcuts reproduce every value a direct step would compare, so
+each branch, and therefore each occupancy, is bitwise unchanged; the
+scalar :func:`shared_cache_occupancies` is the oracle the equivalence
+tests hold them to.
 """
 
 from __future__ import annotations
@@ -33,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cache.miss_curve import MissCurveBatch
+from repro.cache.miss_curve import BalanceSolver, MissCurveBatch
 
 MissFn = Callable[[float], float]
 
@@ -50,7 +76,7 @@ def _occupancy_at_pressure(
     if pressure <= 0.0 or miss_fn(capacity) >= pressure * capacity:
         return capacity
     lo, hi = 0.0, capacity
-    for _ in range(60):
+    for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         if miss_fn(mid) >= pressure * mid:
             lo = mid
@@ -86,7 +112,7 @@ def shared_cache_occupancies(
         hi *= 4.0
         if hi > 1e12:
             break
-    for _ in range(60):
+    for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         if total_occupancy(mid) > capacity:
             lo = mid
@@ -106,35 +132,47 @@ def shared_cache_occupancies(
 # ---------------------------------------------------------------------------
 
 
-def _occupancies_at_pressure_batch(
-    batch: MissCurveBatch,
-    pressure: float | np.ndarray,
-    capacity: float | np.ndarray,
-    miss_at_zero: np.ndarray,
-    miss_at_cap: np.ndarray,
+def _unconstrained_batch(
+    batch: MissCurveBatch, capacity: float | np.ndarray
 ) -> np.ndarray:
-    """All streams' ``m(o) = P * o`` solutions at once -> (K,).
+    """Zero-pressure occupancies -> (K,): every stream keeps the whole
+    cache (its own capacity, scalar or ``(K,)``) unless its curve is
+    zero, like the scalar solver's early exits at ``P = 0``."""
+    full = np.broadcast_to(capacity, (len(batch),)).astype(np.float64)
+    return np.where(batch(0.0) <= 0.0, 0.0, full)
 
-    Lockstep bisection: every iteration evaluates all K curves in one
-    batched call; per-lane arithmetic is element-for-element the scalar
-    solver's, so each lane lands on the scalar result bitwise.  *pressure*
-    is a scalar shared by every stream (one cache) or a ``(K,)`` vector of
-    per-stream pressures (the grouped many-caches solve); *capacity* is
-    likewise a scalar or a ``(K,)`` vector of per-stream cache capacities
-    (lanes of different caches bisect over different brackets — each
-    lane's arithmetic only ever sees its own capacity, so mixed-capacity
-    solves stay bitwise equal to per-cache scalar solves).
+
+def _pressure_solver(
+    batch: MissCurveBatch, capacity: float | np.ndarray
+) -> Callable[[float | np.ndarray], np.ndarray]:
+    """All streams' ``m(o) = P * o`` solutions as a function of ``P``.
+
+    Returns ``solve(pressure) -> (K,)``; *pressure* is a scalar shared by
+    every stream (one cache) or a ``(K,)`` vector of per-stream pressures
+    (the grouped many-caches solve), and *capacity* is likewise a scalar
+    or a ``(K,)`` vector of per-stream cache capacities.  One
+    :class:`~repro.cache.miss_curve.BalanceSolver` is built here and
+    shared by every probe of the solve.  Lanes of different caches bisect
+    over different brackets, and each lane's arithmetic only ever sees
+    its own capacity and pressure, so mixed-capacity solves stay bitwise
+    equal to per-cache scalar solves.
     """
     k = len(batch)
-    at_cap = (pressure <= 0.0) | (miss_at_cap >= pressure * capacity)
-    inactive = miss_at_zero <= 0.0
-    if bool(np.all(at_cap | inactive)):
-        # Every lane resolves by an early-exit rule; the bisection would
-        # only compute values the masks below discard.
-        return np.where(inactive, 0.0, np.broadcast_to(capacity, (k,)).astype(np.float64))
-    mid = batch.balance_bisect(pressure, capacity, _BISECT_ITERS)
-    occ = np.where(at_cap, capacity, mid)
-    return np.where(inactive, 0.0, occ)
+    inactive = batch(0.0) <= 0.0
+    miss_at_cap = batch(capacity)
+    full = np.broadcast_to(capacity, (k,)).astype(np.float64)
+    bisect = BalanceSolver(batch, capacity, _BISECT_ITERS)
+
+    def solve(pressure: float | np.ndarray) -> np.ndarray:
+        at_cap = (pressure <= 0.0) | (miss_at_cap >= pressure * capacity)
+        if bool(np.all(at_cap | inactive)):
+            # Every lane resolves by an early-exit rule; the bisection
+            # would only compute values the masks below discard.
+            return np.where(inactive, 0.0, full)
+        occ = np.where(at_cap, capacity, bisect(pressure))
+        return np.where(inactive, 0.0, occ)
+
+    return solve
 
 
 def shared_cache_occupancies_batch(
@@ -149,17 +187,10 @@ def shared_cache_occupancies_batch(
     k = len(batch)
     if capacity <= 0:
         return [0.0] * k
-    miss_at_zero = batch(0.0)
-    miss_at_cap = batch(capacity)
-
-    def solve(pressure: float) -> np.ndarray:
-        return _occupancies_at_pressure_batch(
-            batch, pressure, capacity, miss_at_zero, miss_at_cap
-        )
-
-    unconstrained = solve(0.0)
+    unconstrained = _unconstrained_batch(batch, capacity)
     if sum(unconstrained.tolist()) <= capacity:
         return unconstrained.tolist()
+    solve = _pressure_solver(batch, capacity)
 
     def total_occupancy(pressure: float) -> float:
         return sum(solve(pressure).tolist())
@@ -221,20 +252,12 @@ def shared_cache_occupancies_grouped(
     lane_cap = np.zeros(k)
     for idx, cap in zip(index_lists, caps):
         lane_cap[idx] = max(cap, 0.0)
-    miss_at_zero = batch(0.0)
-    miss_at_cap = batch(lane_cap)
-
-    def solve(pressures: np.ndarray) -> np.ndarray:
-        """Per-stream occupancies at per-stream pressures -> (K,)."""
-        return _occupancies_at_pressure_batch(
-            batch, pressures, lane_cap, miss_at_zero, miss_at_cap
-        )
 
     def group_totals(occ: np.ndarray) -> list[float]:
         # Stream-order sequential sums, like the scalar per-cache sum().
         return [sum(occ[idx].tolist()) for idx in index_lists]
 
-    unconstrained = solve(np.zeros(k))
+    unconstrained = _unconstrained_batch(batch, lane_cap)
     result = unconstrained.copy()
     pressured = [
         g for g, total in enumerate(group_totals(unconstrained))
@@ -244,15 +267,13 @@ def shared_cache_occupancies_grouped(
         return result
 
     # Every probe from here on only reads pressured groups' lanes, so the
-    # bisection iterates a row-subset batch of just those lanes.  Each
-    # lane's arithmetic (and each group's stream-order total) is
+    # bisection iterates a row-subset batch of just those lanes (and one
+    # solver, built on that subset, serves every probe).  Each lane's
+    # arithmetic (and each group's stream-order total) is
     # element-for-element what the full-width solve computes — unpressured
     # lanes keep their unconstrained occupancies in *result* either way.
     lanes = np.concatenate([index_lists[g] for g in pressured])
-    sub_batch = batch.take(lanes)
-    sub_cap = lane_cap[lanes]
-    sub_zero = miss_at_zero[lanes]
-    sub_cap_miss = miss_at_cap[lanes]
+    solve_sub = _pressure_solver(batch.take(lanes), lane_cap[lanes])
     local: dict[int, np.ndarray] = {}
     pos = 0
     for g in pressured:
@@ -261,11 +282,6 @@ def shared_cache_occupancies_grouped(
         pos += n
 
     lane_pressure = np.zeros(len(lanes))
-
-    def solve_sub(pressures: np.ndarray) -> np.ndarray:
-        return _occupancies_at_pressure_batch(
-            sub_batch, pressures, sub_cap, sub_zero, sub_cap_miss
-        )
 
     lo_g = {g: 1e-12 for g in pressured}
     hi_g = {g: 1.0 for g in pressured}

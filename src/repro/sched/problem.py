@@ -40,7 +40,14 @@ class ThreadSpec:
 
 @dataclass
 class PlacementProblem:
-    """Inputs to one reconfiguration."""
+    """Inputs to one reconfiguration.
+
+    ``threads`` (and each thread's ``vc_accesses``) is fixed once the
+    problem is built: :meth:`accessors_of` answers from a VC -> threads
+    index built from it on first use.  A changed thread list is a new
+    problem — build one (or ``dataclasses.replace`` it), never mutate
+    it in place.
+    """
 
     config: SystemConfig
     topology: Topology
@@ -83,13 +90,27 @@ class PlacementProblem:
         raise KeyError(f"no VC with id {vc_id}")
 
     def accessors_of(self, vc_id: int) -> dict[int, float]:
-        """thread_id -> access rate into this VC."""
-        out = {}
-        for t in self.threads:
-            rate = t.vc_accesses.get(vc_id, 0.0)
-            if rate > 0:
-                out[t.thread_id] = rate
-        return out
+        """thread_id -> access rate into this VC, in thread order."""
+        index = getattr(self, "_accessor_threads", None)
+        if index is None:
+            # One pass over the threads maps each VC to the threads that
+            # access it, in thread order, so every answer (and any sum
+            # over it) comes out in the order a per-VC scan produces.
+            threads: dict[int, list[ThreadSpec]] = {}
+            for t in self.threads:
+                for vc, rate in t.vc_accesses.items():
+                    if rate > 0:
+                        threads.setdefault(vc, []).append(t)
+            index = {vc: tuple(ts) for vc, ts in threads.items()}
+            self._accessor_threads = index
+        return {t.thread_id: t.vc_accesses[vc_id] for t in index.get(vc_id, ())}
+
+    def __getstate__(self) -> dict:
+        # The accessor index is derived from ``threads``: keep it out of
+        # pickles (and so out of shipped jobs); it rebuilds on first use.
+        state = dict(self.__dict__)
+        state.pop("_accessor_threads", None)
+        return state
 
 
 @dataclass

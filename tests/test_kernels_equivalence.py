@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.cache.miss_curve import (
+    BalanceSolver,
     MissCurve,
     MissCurveBatch,
     cliff_curve,
@@ -185,6 +186,94 @@ def test_sharing_grouped_bitwise_matches_per_group_scalar():
             [curves[i].__call__ for i in idx], capacity
         )
         assert grouped[idx].tolist() == expected
+
+
+def _sharing_stream(rng: np.random.Generator, kind: int) -> MissCurve:
+    """One stream's curve; *kind* picks the edge shape the solver must
+    survive (single-point and all-zero rows, cliffs, smooth curves)."""
+    if kind == 0:
+        size, value = rng.uniform(0.0, 1e8), rng.uniform(0.0, 40.0)
+        return MissCurve([float(size)], [float(value)])
+    if kind == 1:
+        sizes = np.unique(rng.uniform(0.0, 1e8, int(rng.integers(1, 20))))
+        return MissCurve(sizes, np.zeros(len(sizes)))
+    if kind == 2:
+        return flat_curve(float(rng.uniform(1e6, 1e8)), float(rng.uniform(1.0, 80.0)))
+    if kind == 3:
+        return cliff_curve(1e8, 30.0, float(rng.uniform(1e6, 9e7)), 2.0)
+    if kind == 4:
+        return exponential_curve(1e8, 40.0, 1.0, float(rng.uniform(1e6, 3e7)))
+    return random_curves(rng, 1)[0]
+
+
+def _sharing_case(rng: np.random.Generator):
+    """A grouped sharing solve with its per-group scalar oracles: mixed
+    capacities (some exactly on a knot, some past every curve's last
+    knot, some zero), optional R-NUCA slice transforms per stream."""
+    curves, scales, divisors, groups, caps = [], [], [], [], []
+    for _ in range(int(rng.integers(1, 4))):
+        members = [
+            _sharing_stream(rng, int(rng.integers(0, 6)))
+            for _ in range(int(rng.integers(1, 6)))
+        ]
+        pick = rng.random()
+        if pick < 0.3:
+            knots = np.concatenate([c.sizes for c in members])
+            cap = float(knots[rng.integers(0, len(knots))])
+        elif pick < 0.4:
+            cap = 0.0
+        else:
+            cap = float(rng.uniform(1e5, 2e8))
+        groups.append(range(len(curves), len(curves) + len(members)))
+        caps.append(cap)
+        for curve in members:
+            curves.append(curve)
+            n = float(rng.choice([1.0, 4.0, 16.0, 64.0, 2.5]))
+            scales.append(n)
+            divisors.append(n if rng.random() < 0.8 else float(rng.uniform(0.5, 8.0)))
+    return curves, scales, divisors, groups, caps
+
+
+def test_sharing_solver_seeded_sweep_bitwise_matches_scalar():
+    """The merged grouped solve (BalanceSolver prefix table + segment
+    tracking) equals the scalar per-cache oracle bitwise on 60 seeded
+    cases, slice transforms included."""
+    rng = np.random.default_rng(2015)
+    for _ in range(60):
+        curves, scales, divisors, groups, caps = _sharing_case(rng)
+        batch = MissCurveBatch(curves, arg_scale=scales, value_divisor=divisors)
+        grouped = shared_cache_occupancies_grouped(batch, groups, caps)
+        for group, cap in zip(groups, caps):
+            fns = [
+                lambda o, c=curves[i], a=scales[i], d=divisors[i]: float(c(o * a)) / d
+                for i in group
+            ]
+            assert grouped[list(group)].tolist() == shared_cache_occupancies(fns, cap)
+
+
+def test_balance_solver_matches_direct_stepwise_bisection():
+    """Every probe of one solver equals the plain loop that evaluates
+    ``batch(mid)`` at every step — at pressures that leave lanes at
+    capacity, straddling knots, or pinned to zero."""
+    rng = np.random.default_rng(42)
+    curves, scales, divisors, _, _ = _sharing_case(rng)
+    curves += random_curves(rng, 12)
+    k = len(curves)
+    scales += [1.0] * (k - len(scales))
+    divisors += [1.0] * (k - len(divisors))
+    batch = MissCurveBatch(curves, arg_scale=scales, value_divisor=divisors)
+    capacity = np.array([float(rng.choice(c.sizes)) for c in curves])
+    capacity[::3] = 1.5e8
+    solver = BalanceSolver(batch, capacity, 60)
+    for pressure in (0.0, 1e-12, 1e-9, 3e-7, 1e-5, 1.0, 1e3):
+        lanes = np.full(k, pressure) * rng.uniform(0.5, 2.0, k)
+        for p in (pressure, lanes):
+            lo, hi = np.zeros(k), capacity.copy()
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                cond = batch(mid) >= p * mid
+                lo, hi = np.where(cond, mid, lo), np.where(cond, hi, mid)
+            assert np.array_equal(solver(p), 0.5 * (lo + hi))
 
 
 def _random_problem(rng: np.random.Generator, multithreaded: bool = False):
